@@ -188,14 +188,11 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
         "blocking probability: mirrored peak {m_peak:.4} overall {m_all:.4}  \
          coded peak {c_peak:.4} overall {c_all:.4}"
     );
+    let coded_wins = c_peak <= m_peak && c_all <= m_all;
     let _ = writeln!(
         out,
         "check: coded blocking <= mirrored (peak and overall) at equal storage: {}",
-        if c_peak <= m_peak && c_all <= m_all {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        if coded_wins { "PASS" } else { "FAIL" }
     );
     let _ = writeln!(
         out,
@@ -212,9 +209,8 @@ pub fn ablation_coded_report(scale: Scale, threads: usize) -> ExpReport {
          the relation flips — see docs/CODED.md. violations: {bad}."
     );
     ExpReport {
-        name: "ablation_coded",
-        output: out,
-        metrics: Vec::new(),
+        passed: coded_wins && bad == 0,
+        ..ExpReport::new(out)
     }
 }
 
@@ -229,7 +225,7 @@ mod tests {
         assert_eq!(one.output, three.output);
         assert!(one.output.contains("violations: 0"), "{}", one.output);
         assert!(
-            !one.output.contains("FAIL"),
+            one.passed && !one.output.contains("FAIL"),
             "ablation checks failed:\n{}",
             one.output
         );

@@ -1,4 +1,4 @@
-//! A deterministic parallel experiment fleet.
+//! The experiment registry and its deterministic parallel runner.
 //!
 //! Every experiment in this repo is a pure function of
 //! `(TigerConfig, workload, seed)` (the determinism contract of
@@ -9,7 +9,7 @@
 //!
 //! This module shards such independent runs across `std::thread::scope`
 //! workers and merges their results **in shard order**, so everything a
-//! job reports — rendered tables on stdout, merged [`Metrics`] — is
+//! job reports — rendered tables, merged [`Metrics`], pass/fail — is
 //! bit-identical no matter how many threads ran it. Timing (which *is*
 //! thread-count dependent) is segregated into [`FleetResult::job_secs`] /
 //! [`FleetResult::wall_secs`] and printed on stderr by the `fleet` bin,
@@ -20,15 +20,16 @@
 //! * [`run_indexed`] — the deterministic parallel map every sweep uses:
 //!   workers claim indices from an atomic counter, results land in
 //!   index-ordered slots.
-//! * `*_report` functions — one per experiment, shared between the
-//!   per-experiment bins (`ablation_forwarding`, `capacity`, …) and the
-//!   `fleet` bin, each parametrized by [`Scale`] and a thread count.
-//! * [`standard_jobs`] / [`run_fleet`] — the whole catalogue, run as one
-//!   fleet with job-level parallelism.
+//! * `*_report` functions — one per experiment, each parametrized by
+//!   [`Scale`] and an inner sweep thread count.
+//! * [`JOBS`] / [`run_fleet`] — the whole catalogue, the only way an
+//!   experiment is run: each [`Job`] is named after its golden file in
+//!   `results/` and prints its own [`Job::header`], so
+//!   `fleet --filter <job> --scale full` reproduces `results/<job>.txt`
+//!   byte for byte (and `--scale quick`, `results/<job>_quick.txt`).
 //!
 //! The related property-harness knob is `TIGER_PROP_THREADS`
-//! (`tiger_sim::check`), which shards property *cases* the same way; the
-//! bins read `TIGER_FLEET_THREADS` for their sweep-point parallelism.
+//! (`tiger_sim::check`), which shards property *cases* the same way.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,24 +37,30 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tiger_core::{
-    ForwardingPolicy, MbrConfig, MbrCoordinator, MbrOutcome, MbrSystem, Metrics, TigerConfig,
-    TigerSystem,
+    central_control_send_rate, CentralSystem, ForwardingPolicy, LossReport, MbrConfig,
+    MbrCoordinator, MbrOutcome, MbrSystem, Metrics, TigerConfig, TigerSystem,
 };
 use tiger_layout::ids::ViewerInstance;
-use tiger_layout::{CubId, DiskId, MirrorPlacement, StripeConfig, ViewerId};
+use tiger_layout::{CubId, DiskId, FileId, MirrorPlacement, StripeConfig, ViewerId};
 use tiger_net::LatencyModel;
 use tiger_sched::{NetEntryId, NetworkSchedule, ScheduleParams};
 use tiger_sim::{Bandwidth, ByteSize, RngTree, SimDuration, SimTime};
 use tiger_workload::{
-    format_ramp_table, run_ramp, run_reconfig, run_startup, CatalogSpec, RampConfig, RampResult,
-    ReconfigConfig, StartupConfig,
+    format_ramp_table, format_startup_table, run_ramp, run_reconfig, run_startup, CatalogSpec,
+    RampConfig, RampResult, ReconfigConfig, StartupConfig, StartupResult,
 };
+
+use crate::chaos::chaos_report;
+use crate::coded::ablation_coded_report;
+use crate::hotspot::{hotspot_plan_report, hotspot_report};
+use crate::workloads::workloads_report;
 
 /// How big an experiment to run.
 ///
 /// `Quick` shrinks every job to seconds (small-test configuration, short
-/// ramps, fewer sweep points) for CI smoke and the determinism goldens;
-/// `Full` is the paper-scale configuration the standalone bins run.
+/// ramps, fewer sweep points) for the CI determinism sweep and the
+/// `_quick` goldens; `Full` is the paper-scale configuration behind the
+/// other goldens in `results/`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-long jobs on `TigerConfig::small_test`.
@@ -71,16 +78,6 @@ impl Scale {
             _ => None,
         }
     }
-}
-
-/// Worker threads the per-experiment bins use for their sweeps, from
-/// `TIGER_FLEET_THREADS` (default 1 — plain sequential runs).
-pub fn threads_from_env() -> usize {
-    std::env::var("TIGER_FLEET_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// Runs `f(0)…f(n-1)` across up to `threads` scoped workers and returns
@@ -149,72 +146,211 @@ pub fn merge_metrics<'a>(shards: impl IntoIterator<Item = &'a Metrics>) -> Metri
 
 /// One experiment's deterministic result.
 pub struct ExpReport {
-    /// Stable job name (`fig8`, `ablation_lead`, …).
-    pub name: &'static str,
     /// The rendered report — everything the experiment prints on stdout.
     pub output: String,
     /// Metrics of the full-system runs this job performed, in shard order
     /// (empty for analytic or data-structure-only experiments).
     pub metrics: Vec<Metrics>,
+    /// Whether the job's own checks held (invariants, PASS lines); a
+    /// failed job makes the `fleet` bin exit non-zero.
+    pub passed: bool,
+}
+
+impl ExpReport {
+    /// A report with no metrics and no checks of its own.
+    pub fn new(output: String) -> Self {
+        ExpReport {
+            output,
+            metrics: Vec::new(),
+            passed: true,
+        }
+    }
 }
 
 /// One named experiment in the fleet catalogue.
+#[derive(Clone, Copy)]
 pub struct Job {
-    /// Stable job name, also the `--filter` target.
+    /// Stable job name: the `--filter` target and the golden file stem.
     pub name: &'static str,
+    /// The paper artifact this job regenerates.
+    pub title: &'static str,
+    /// What the paper says about it (the header's `paper:` line).
+    pub paper: &'static str,
     /// The experiment body: `(scale, inner sweep threads) -> report`.
     pub run: fn(Scale, usize) -> ExpReport,
 }
 
+impl Job {
+    /// The banner naming the artifact, printed above the report.
+    pub fn header(&self) -> String {
+        const RULE: &str = "==============================================================";
+        format!("{RULE}\n{}\npaper: {}\n{RULE}\n", self.title, self.paper)
+    }
+}
+
 /// The full experiment catalogue, in the fixed order the fleet reports.
-pub fn standard_jobs() -> Vec<Job> {
-    vec![
-        Job {
-            name: "fig8",
-            run: fig8_report,
-        },
-        Job {
-            name: "fig9",
-            run: fig9_report,
-        },
-        Job {
-            name: "ablation_decluster",
-            run: decluster_report,
-        },
-        Job {
-            name: "ablation_forwarding",
-            run: forwarding_report,
-        },
-        Job {
-            name: "ablation_lead",
-            run: lead_report,
-        },
-        Job {
-            name: "ablation_fragmentation",
-            run: fragmentation_report,
-        },
-        Job {
-            name: "ablation_mbr",
-            run: mbr_report,
-        },
-        Job {
-            name: "ablation_deadman",
-            run: deadman_report,
-        },
-        Job {
-            name: "ablation_admission",
-            run: admission_report,
-        },
-        Job {
-            name: "capacity_seeds",
-            run: capacity_seeds_report,
-        },
-    ]
+pub const JOBS: &[Job] = &[
+    Job {
+        name: "fig8_unfailed",
+        title: "Figure 8: Tiger loads with no cubs failed",
+        paper: "cub CPU & disk load linear in streams; controller flat; \
+                control traffic < ~21 KB/s at 602 streams",
+        run: fig8_report,
+    },
+    Job {
+        name: "fig9_failed",
+        title: "Figure 9: Tiger loads with one cub failed",
+        paper: "mirroring-cub disks >95% duty at 602 streams; cub CPU <=85%; \
+                control traffic ~2x the unfailed case",
+        run: fig9_report,
+    },
+    Job {
+        name: "fig10_startup",
+        title: "Figure 10: stream startup latency vs schedule load",
+        paper: "min ~1.8 s; mean <5 s at 95% load; >20 s outliers near 100%; \
+                worst cases approach the full 56 s schedule",
+        run: fig10_report,
+    },
+    Job {
+        name: "loss_rates",
+        title: "Loss rates (paper §5 text)",
+        paper: "unfailed ~1 in 275k; failed ramp ~1 in 78k; failed steady hour ~1 in 40k; \
+                losses spread over the run",
+        run: loss_rates_report,
+    },
+    Job {
+        name: "reconfig",
+        title: "Reconfiguration after cub power-cut (paper §5 text)",
+        paper: "~8 s between the earliest and latest lost block at 50% load",
+        run: reconfig_report,
+    },
+    Job {
+        name: "scalability",
+        title: "Scalability: centralized vs distributed schedule management (§3.3)",
+        paper: "central controller send rate grows to MB/s; per-cub distributed \
+                traffic stays roughly constant (<21 KB/s measured in §5)",
+        run: scalability_report,
+    },
+    Job {
+        name: "capacity",
+        title: "Capacity derivation (paper §5 text)",
+        paper: "10.75 streams/disk worst case; 602 total; 3.36 MB/s/disk; \
+                13.4 MB/s sends from a mirroring cub",
+        run: capacity_report,
+    },
+    Job {
+        name: "hotspot",
+        title: "Hotspot immunity (§2.2 striping motivation)",
+        paper: "all viewers on ONE file load the disks as evenly as viewers spread \
+                over 64 files — striping makes demand imbalance a non-event",
+        run: hotspot_report,
+    },
+    Job {
+        name: "hotspot_plan",
+        title: "Hotspot immunity (§2.2 striping motivation, plan-driven demand)",
+        paper: "whatever shape the workload plan declares, striping keeps the \
+                per-disk load band tight",
+        run: hotspot_plan_report,
+    },
+    Job {
+        name: "ablation_decluster",
+        title: "Ablation: decluster factor (§2.3 tradeoff)",
+        paper: "reserved bandwidth = 1/(d+1); second-failure exposure = 2d machines",
+        run: decluster_report,
+    },
+    Job {
+        name: "ablation_forwarding",
+        title: "Ablation: single vs double forwarding (§4.1.1)",
+        paper: "single forwarding halves control traffic but loses schedule \
+                information (and thus stream blocks) across a cub failure",
+        run: forwarding_report,
+    },
+    Job {
+        name: "ablation_lead",
+        title: "Ablation: viewer-state lead (minVStateLead/maxVStateLead, §4.1.1)",
+        paper: "a wide min/max gap batches many viewer states per message; \
+                a tight minimum lead leaves little slack for disk variance",
+        run: lead_report,
+    },
+    Job {
+        name: "ablation_fragmentation",
+        title: "Ablation: network-schedule fragmentation (§3.2)",
+        paper: "arbitrary start times fragment the 2-D schedule; quantizing starts \
+                to bpt/decluster keeps free bandwidth usable",
+        run: fragmentation_report,
+    },
+    Job {
+        name: "ablation_mbr",
+        title: "Ablation: two-phase multiple-bitrate insertion (§4.2)",
+        paper: "the reserve round trip overlaps the speculative first-block disk \
+                read, so confirmation latency is almost always hidden",
+        run: mbr_report,
+    },
+    Job {
+        name: "ablation_deadman",
+        title: "Ablation: deadman timeout vs reconfiguration loss window",
+        paper: "the ~8 s loss window of §5 is detection latency + takeover fill; \
+                it scales with the deadman timeout",
+        run: deadman_report,
+    },
+    Job {
+        name: "ablation_admission",
+        title: "Ablation: admission control (§5's disabled safety valve)",
+        paper: "without a limit, starts near 100% load can wait out whole schedule \
+                laps; a 90% limit rejects them instead, bounding admitted latency",
+        run: admission_report,
+    },
+    Job {
+        name: "ablation_coded",
+        title: "Ablation: mirrored vs coded redundancy (flash crowd, equal storage)",
+        paper: "declustered mirroring pins every degraded read to the fixed partner \
+                set; an MDS code serves it from any k surviving shards, chosen \
+                against the admission load index",
+        run: ablation_coded_report,
+    },
+    Job {
+        name: "chaos",
+        title: "Chaos campaigns (fault plans vs the Tiger invariants)",
+        paper: "any single failure is survived; losses stay inside the detection window (§4, §5)",
+        run: chaos_report,
+    },
+    Job {
+        name: "workloads",
+        title: WORKLOADS_TITLE,
+        paper: WORKLOADS_PAPER,
+        run: |scale, threads| workloads_report(scale, threads, None),
+    },
+    Job {
+        name: "workload_flashcrowd_blocking",
+        title: WORKLOADS_TITLE,
+        paper: WORKLOADS_PAPER,
+        run: |scale, threads| workloads_report(scale, threads, Some("flash-crowd")),
+    },
+];
+
+const WORKLOADS_TITLE: &str = "Workload plans (tiger-workgen demand vs the Tiger schedule)";
+const WORKLOADS_PAPER: &str =
+    "skewed, bursty, interactive demand is what the §4 ownership machinery \
+     exists to survive; striping keeps even a flash crowd a non-event (§2.2)";
+
+/// The jobs named in a comma-separated list of exact job names, in
+/// catalogue order. Errors on a name the catalogue does not have.
+pub fn select(names: &str) -> Result<Vec<Job>, String> {
+    let wanted: Vec<&str> = names.split(',').map(str::trim).collect();
+    if let Some(unknown) = wanted.iter().find(|w| !JOBS.iter().any(|j| j.name == **w)) {
+        return Err(format!("no job named '{unknown}' (see --list)"));
+    }
+    Ok(JOBS
+        .iter()
+        .filter(|j| wanted.contains(&j.name))
+        .copied()
+        .collect())
 }
 
 /// A whole fleet run's results.
 pub struct FleetResult {
-    /// One report per job, in catalogue order.
+    /// One report per job, in catalogue order, each led by its job's
+    /// [`Job::header`]: concatenated, they are the fleet's stdout.
     pub reports: Vec<ExpReport>,
     /// All job metrics merged in catalogue/shard order (the golden-test
     /// quantity: identical at every thread count).
@@ -225,24 +361,18 @@ pub struct FleetResult {
     pub wall_secs: f64,
 }
 
-/// Runs `jobs` with job-level parallelism across `threads` workers.
-///
-/// Jobs run their internal sweeps sequentially here (inner threads = 1):
-/// the fleet already saturates its workers at job granularity, and
-/// nesting would oversubscribe without changing any output.
+/// Runs `jobs` across `threads` workers, handing the same thread count to
+/// each job's inner sweep so every sharding level is exercised (the
+/// nesting can oversubscribe the host; it cannot change any output).
 pub fn run_fleet(jobs: &[Job], scale: Scale, threads: usize) -> FleetResult {
     let wall = Instant::now();
     let timed = run_indexed(jobs.len(), threads, |i| {
         let start = Instant::now();
-        let report = (jobs[i].run)(scale, 1);
+        let mut report = (jobs[i].run)(scale, threads);
+        report.output.insert_str(0, &jobs[i].header());
         (report, start.elapsed().as_secs_f64())
     });
-    let mut reports = Vec::with_capacity(timed.len());
-    let mut job_secs = Vec::with_capacity(timed.len());
-    for (report, secs) in timed {
-        reports.push(report);
-        job_secs.push(secs);
-    }
+    let (reports, job_secs): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
     let merged = merge_metrics(reports.iter().flat_map(|r| r.metrics.iter()));
     FleetResult {
         reports,
@@ -253,7 +383,7 @@ pub fn run_fleet(jobs: &[Job], scale: Scale, threads: usize) -> FleetResult {
 }
 
 /// A one-line deterministic digest of merged fleet metrics, printed on
-/// stdout by the `fleet` bin and compared by the determinism golden.
+/// stderr by the `fleet` bin.
 pub fn metrics_digest(m: &Metrics) -> String {
     format!(
         "windows {}  start_samples {}  scheduled {}  sent {}  server_missed {}  \
@@ -278,6 +408,11 @@ fn metrics_of(result: &RampResult) -> Metrics {
     }
 }
 
+fn one_in(loss: &LossReport) -> String {
+    loss.one_in()
+        .map_or_else(|| "inf".to_string(), |n| n.to_string())
+}
+
 fn ramp_summary(out: &mut String, result: &RampResult, failed: bool) {
     if failed {
         let _ = writeln!(
@@ -288,10 +423,7 @@ fn ramp_summary(out: &mut String, result: &RampResult, failed: bool) {
             result.loss.blocks_sent,
             result.loss.server_missed,
             result.loss.mirror_missed,
-            result
-                .loss
-                .one_in()
-                .map_or_else(|| "inf".to_string(), |n| n.to_string()),
+            one_in(&result.loss),
         );
     } else {
         let _ = writeln!(
@@ -300,10 +432,7 @@ fn ramp_summary(out: &mut String, result: &RampResult, failed: bool) {
             result.loss.blocks_scheduled,
             result.loss.blocks_sent,
             result.loss.server_missed,
-            result
-                .loss
-                .one_in()
-                .map_or_else(|| "inf".to_string(), |n| n.to_string()),
+            one_in(&result.loss),
         );
     }
     let _ = writeln!(
@@ -343,9 +472,8 @@ pub fn fig8_report(scale: Scale, _threads: usize) -> ExpReport {
     out.push('\n');
     ramp_summary(&mut out, &result, false);
     ExpReport {
-        name: "fig8",
-        output: out,
         metrics: vec![metrics_of(&result)],
+        ..ExpReport::new(out)
     }
 }
 
@@ -356,17 +484,7 @@ pub fn fig9_report(scale: Scale, _threads: usize) -> ExpReport {
             hold_at_peak: SimDuration::from_secs(3_600),
             ..RampConfig::fig9(TigerConfig::sosp97(), SimDuration::from_secs(50))
         },
-        Scale::Quick => RampConfig {
-            failed_cub: Some(CubId(2)),
-            disk_report_cub: Some(CubId(3)),
-            report_cub: CubId(3),
-            target: Some(16),
-            hold_at_peak: SimDuration::from_secs(30),
-            ..quick_ramp(RampConfig::fig8(
-                TigerConfig::small_test(),
-                SimDuration::from_secs(15),
-            ))
-        },
+        Scale::Quick => quick_failed_ramp(TigerConfig::small_test()),
     };
     let result = run_ramp(&cfg);
     let title = match scale {
@@ -377,9 +495,8 @@ pub fn fig9_report(scale: Scale, _threads: usize) -> ExpReport {
     out.push('\n');
     ramp_summary(&mut out, &result, true);
     ExpReport {
-        name: "fig9",
-        output: out,
         metrics: vec![metrics_of(&result)],
+        ..ExpReport::new(out)
     }
 }
 
@@ -392,6 +509,254 @@ fn quick_ramp(base: RampConfig) -> RampConfig {
         target: Some(24),
         ..base
     }
+}
+
+/// The quick-scale Figure 9 ramp: cub 2 failed throughout, the disk and
+/// control columns reporting its mirroring successor.
+fn quick_failed_ramp(tiger: TigerConfig) -> RampConfig {
+    RampConfig {
+        failed_cub: Some(CubId(2)),
+        disk_report_cub: Some(CubId(3)),
+        report_cub: CubId(3),
+        target: Some(16),
+        hold_at_peak: SimDuration::from_secs(30),
+        ..quick_ramp(RampConfig::fig8(tiger, SimDuration::from_secs(15)))
+    }
+}
+
+/// Figure 10: startup latency against schedule load, combining an
+/// unfailed and a failed run as the paper did ("This graph combines the
+/// stream starts from both the failed and non-failed tests").
+pub fn fig10_report(scale: Scale, threads: usize) -> ExpReport {
+    let unfailed = match scale {
+        Scale::Full => StartupConfig {
+            probes_per_load: 100,
+            ..StartupConfig::fig10(TigerConfig::sosp97())
+        },
+        Scale::Quick => StartupConfig {
+            tiger: TigerConfig::small_test(),
+            catalog: CatalogSpec::sized_for(SimDuration::from_secs(450), 8),
+            loads: vec![0.5, 0.8, 0.9, 1.0],
+            probes_per_load: 8,
+            failed_cub: None,
+        },
+    };
+    let mut failed = unfailed.clone();
+    failed.failed_cub = Some(match scale {
+        Scale::Full => CubId(5),
+        Scale::Quick => CubId(2),
+    });
+    failed.tiger.seed = unfailed.tiger.seed + 1;
+    let runs = [unfailed, failed];
+    let samples = run_indexed(runs.len(), threads, |i| run_startup(&runs[i]).samples);
+    let combined = StartupResult {
+        samples: samples.concat(),
+    };
+
+    let mut out = format_startup_table(&combined);
+    out.push('\n');
+    let _ = writeln!(out, "total starts: {}", combined.samples.len());
+    let _ = writeln!(out, "min latency: {:.2} s (paper: ~1.8 s)", combined.min());
+    let _ = writeln!(
+        out,
+        "max latency: {:.2} s (paper: some took ~the full 56 s schedule)",
+        combined.max()
+    );
+    let _ = writeln!(
+        out,
+        "mean at 90-100% load: {:.2} s (paper: <5 s at 95%)",
+        combined.mean_in(0.90, 1.01).unwrap_or(f64::NAN)
+    );
+    let _ = writeln!(out, ">20 s outliers: {}", combined.count_above(20.0));
+    ExpReport::new(out)
+}
+
+/// §5 delivered-block loss rates: the unfailed ramp held for 90 minutes
+/// and the failed ramp held for the paper's hour at full load.
+pub fn loss_rates_report(scale: Scale, threads: usize) -> ExpReport {
+    let runs = match scale {
+        Scale::Full => {
+            let settle = SimDuration::from_secs(50);
+            [
+                RampConfig {
+                    hold_at_peak: SimDuration::from_secs(5_400),
+                    ..RampConfig::fig8(TigerConfig::sosp97(), settle)
+                },
+                RampConfig {
+                    hold_at_peak: SimDuration::from_secs(3_600),
+                    ..RampConfig::fig9(TigerConfig::sosp97(), settle)
+                },
+            ]
+        }
+        Scale::Quick => [
+            RampConfig {
+                hold_at_peak: SimDuration::from_secs(120),
+                ..quick_ramp(RampConfig::fig8(
+                    TigerConfig::small_test(),
+                    SimDuration::from_secs(15),
+                ))
+            },
+            RampConfig {
+                hold_at_peak: SimDuration::from_secs(120),
+                ..quick_failed_ramp(TigerConfig::small_test())
+            },
+        ],
+    };
+    let results = run_indexed(runs.len(), threads, |i| run_ramp(&runs[i]));
+    let (u, f) = (&results[0], &results[1]);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "unfailed: scheduled {}  missed {}  rate 1 in {}",
+        u.loss.blocks_scheduled,
+        u.loss.server_missed,
+        one_in(&u.loss)
+    );
+    let _ = writeln!(
+        out,
+        "failed:   scheduled {}  missed {} ({} mirror pieces)  rate 1 in {}",
+        f.loss.blocks_scheduled,
+        f.loss.server_missed,
+        f.loss.mirror_missed,
+        one_in(&f.loss)
+    );
+    out.push('\n');
+    let _ = writeln!(
+        out,
+        "shape check: failed-mode loss rate should exceed unfailed (paper: ~4-7x);"
+    );
+    let _ = writeln!(
+        out,
+        "client-observed missing blocks — unfailed: {}  failed: {}",
+        u.client_missing, f.client_missing
+    );
+    let _ = writeln!(
+        out,
+        "buffer-cache hit rate — unfailed: {:.4}%  failed: {:.4}%  (paper: <0.05%)",
+        u.cache_hit_rate * 100.0,
+        f.cache_hit_rate * 100.0
+    );
+    ExpReport {
+        metrics: results.iter().map(metrics_of).collect(),
+        ..ExpReport::new(out)
+    }
+}
+
+/// §5 power-cut reconfiguration window at 50% load. One run of about a
+/// second at paper scale, so it ignores [`Scale`].
+pub fn reconfig_report(_scale: Scale, _threads: usize) -> ExpReport {
+    let cfg = ReconfigConfig::sosp97(TigerConfig::sosp97());
+    let result = run_reconfig(&cfg);
+    let mut out = String::new();
+    let _ = writeln!(out, "streams at cut:          {}", result.streams);
+    let _ = writeln!(
+        out,
+        "deadman detection:       {:.2} s after the cut (timeout {:?})",
+        result.detection_secs.unwrap_or(f64::NAN),
+        cfg.tiger.deadman_timeout,
+    );
+    let _ = writeln!(out, "blocks lost:             {}", result.blocks_lost);
+    let _ = writeln!(
+        out,
+        "earliest lost block due: {:.2} s  latest: {:.2} s",
+        result.earliest_loss.unwrap_or(f64::NAN),
+        result.latest_loss.unwrap_or(f64::NAN),
+    );
+    let _ = writeln!(
+        out,
+        "loss window:             {:.2} s (paper: ~8 s)",
+        result.loss_window_secs
+    );
+    ExpReport::new(out)
+}
+
+/// Per-cub control traffic of a ring of `num_cubs` ramped to capacity:
+/// `(streams, control bytes/s)` at the top of the ramp.
+fn distributed_per_cub_traffic(scale: Scale, num_cubs: u32) -> (u32, f64) {
+    let (mut tiger, disks_per_cub, decluster, settle) = match scale {
+        Scale::Full => (TigerConfig::sosp97(), 4, 4, SimDuration::from_secs(25)),
+        Scale::Quick => (TigerConfig::small_test(), 1, 2, SimDuration::from_secs(15)),
+    };
+    tiger.stripe = StripeConfig::new(num_cubs, disks_per_cub, decluster);
+    tiger.num_clients = (num_cubs * 3).max(8);
+    // Files must outlast the whole ramp so streams do not decay to EOF.
+    let capacity_estimate = num_cubs * disks_per_cub * 11;
+    let ramp_len = settle.mul_u64(u64::from(capacity_estimate / 30 + 2));
+    let cfg = RampConfig {
+        catalog: CatalogSpec::sized_for(ramp_len, 16),
+        settle,
+        ..RampConfig::fig8(tiger, settle)
+    };
+    let result = run_ramp(&cfg);
+    let last = result.windows.last().expect("windows");
+    (last.streams, last.control_bytes_per_sec)
+}
+
+/// §3.3: why schedule management is distributed. The central
+/// controller's send rate tracks total streams; per-cub viewer-state
+/// traffic stays flat as the ring grows.
+pub fn scalability_report(scale: Scale, threads: usize) -> ExpReport {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "-- centralized controller (analytic, 100 B commands + framing) --"
+    );
+    for streams in [602u64, 4_000, 10_000, 40_000] {
+        let rate = central_control_send_rate(streams, SimDuration::from_secs(1));
+        let _ = writeln!(
+            out,
+            "{streams:>7} streams -> controller must send {:>10.2} MB/s",
+            rate / 1e6
+        );
+    }
+
+    out.push('\n');
+    let _ = writeln!(out, "-- centralized controller (simulated small system) --");
+    let params = ScheduleParams::derive(
+        StripeConfig::new(14, 4, 4),
+        SimDuration::from_secs(1),
+        ByteSize::from_bytes(250_000),
+        TigerConfig::sosp97().disk_worst_read(),
+        Bandwidth::from_mbit_per_sec(135),
+    );
+    let mut central = CentralSystem::new(params);
+    while central
+        .start_viewer(FileId(0), Bandwidth::from_mbit_per_sec(2), SimTime::ZERO)
+        .is_some()
+    {}
+    let stats = central.window_stats();
+    let _ = writeln!(
+        out,
+        "{} streams -> {:.1} KB/s control sends, controller CPU {:.1}%",
+        stats.streams,
+        stats.ctrl_bytes_per_sec / 1e3,
+        stats.ctrl_cpu * 100.0
+    );
+
+    out.push('\n');
+    let _ = writeln!(
+        out,
+        "-- distributed (measured per-cub viewer-state traffic) --"
+    );
+    let _ = writeln!(out, "cubs  streams  per-cub control B/s");
+    let rings: &[u32] = match scale {
+        Scale::Full => &[7, 14, 28],
+        Scale::Quick => &[4, 8, 16],
+    };
+    let rows = run_indexed(rings.len(), threads, |i| {
+        distributed_per_cub_traffic(scale, rings[i])
+    });
+    for (cubs, (streams, rate)) in rings.iter().zip(rows) {
+        let _ = writeln!(out, "{cubs:>4}  {streams:>7}  {rate:>12.0}");
+    }
+    out.push('\n');
+    let _ = writeln!(
+        out,
+        "note: per-cub traffic tracks streams *per cub* (constant as the \
+         system scales out), while the central controller's rate tracks \
+         *total* streams."
+    );
+    ExpReport::new(out)
 }
 
 /// §2.3 decluster-factor tradeoff. Analytic (no simulation), so scale
@@ -431,11 +796,7 @@ pub fn decluster_report(_scale: Scale, threads: usize) -> ExpReport {
         "shape: higher decluster -> less reserved bandwidth (higher capacity) \
          but wider two-failure exposure."
     );
-    ExpReport {
-        name: "ablation_decluster",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
 struct ForwardingOutcome {
@@ -526,11 +887,7 @@ pub fn forwarding_report(scale: Scale, threads: usize) -> ExpReport {
          requires the go-back machinery the paper deemed not worth building — \
          double forwarding gets the same resilience for ~2x viewer-state sends."
     );
-    ExpReport {
-        name: "ablation_forwarding",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
 struct LeadOutcome {
@@ -613,11 +970,7 @@ pub fn lead_report(scale: Scale, threads: usize) -> ExpReport {
          versus a tight gap, by amortizing framing over batched viewer states; \
          bytes/msg grows several-fold from the tightest cadence to the paper's gap."
     );
-    ExpReport {
-        name: "ablation_lead",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
 struct ChurnStats {
@@ -744,11 +1097,7 @@ pub fn fragmentation_report(scale: Scale, threads: usize) -> ExpReport {
          most often and sustain the fewest steady streams; quantized start \
          positions recover most of the lost admissions."
     );
-    ExpReport {
-        name: "ablation_fragmentation",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
 fn mbr_run(latency: LatencyModel, deadline_ms: u64, inserts: u64) -> (usize, u64, f64) {
@@ -856,11 +1205,7 @@ pub fn mbr_report(scale: Scale, threads: usize) -> ExpReport {
          ~60 ms disk read; only when latency approaches the deadline do \
          insertions abort (and release their reservations)."
     );
-    ExpReport {
-        name: "ablation_mbr",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
 /// §5 deadman timeout vs reconfiguration loss window: one power-cut run
@@ -921,11 +1266,7 @@ pub fn deadman_report(scale: Scale, threads: usize) -> ExpReport {
          timeout; the §5 configuration (5 s timeout) lands near the paper's \
          ~8 s measurement."
     );
-    ExpReport {
-        name: "ablation_deadman",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
 /// §5 admission-control ablation: the disabled safety valve re-enabled,
@@ -978,16 +1319,67 @@ pub fn admission_report(scale: Scale, threads: usize) -> ExpReport {
         "shape: the limit trades availability (fewer admitted starts) for \
          bounded startup latency — the operational recommendation of §5."
     );
-    ExpReport {
-        name: "ablation_admission",
-        output: out,
-        metrics: Vec::new(),
-    }
+    ExpReport::new(out)
 }
 
-/// §5 capacity: the measured failed-mode section swept over several
-/// workload seeds — one full ramp per seed, merged in seed order.
-pub fn capacity_seeds_report(scale: Scale, threads: usize) -> ExpReport {
+/// §5 capacity: the analytic derivation (10.75 streams/disk → 602),
+/// then the measured failed-mode section swept over several workload
+/// seeds — one full ramp per seed, merged in seed order.
+pub fn capacity_report(scale: Scale, threads: usize) -> ExpReport {
+    let tiger = TigerConfig::sosp97();
+    let params = ScheduleParams::derive(
+        tiger.stripe,
+        tiger.block_play_time,
+        tiger.block_size(),
+        tiger.disk_worst_read(),
+        tiger.nic_capacity,
+    );
+    let spd = tiger.disk.streams_per_disk(
+        tiger.block_size(),
+        tiger.block_play_time,
+        tiger.stripe.decluster,
+        true,
+    );
+    let placement = MirrorPlacement::new(tiger.stripe);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "worst-case block service work: {:?}",
+        tiger.disk_worst_read()
+    );
+    let _ = writeln!(
+        out,
+        "streams per disk (worst case): {spd:.2}  (paper: 10.75)"
+    );
+    let _ = writeln!(
+        out,
+        "block service time (lengthened): {:?}",
+        params.block_service_time()
+    );
+    let _ = writeln!(
+        out,
+        "schedule length: {:?}  (block play time x {} disks)",
+        params.schedule_len(),
+        tiger.stripe.num_disks()
+    );
+    let _ = writeln!(
+        out,
+        "system capacity: {} streams  (paper: 602)",
+        params.capacity()
+    );
+    let _ = writeln!(
+        out,
+        "bandwidth reserved for failed mode: {:.1}%  (paper: a fifth at decluster 4)",
+        placement.reserved_bandwidth_fraction() * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "storage: 56 x 2.25 GB disks, half for primaries = {:.1} hours of 2 Mbit/s content \
+         (paper: slightly more than 64 hours)",
+        56.0 * 2.25e9 / 2.0 / 250_000.0 / 3600.0
+    );
+    out.push('\n');
+
     let seeds: &[u64] = match scale {
         Scale::Full => &[1997, 42, 7],
         Scale::Quick => &[1997, 42],
@@ -1007,19 +1399,11 @@ pub fn capacity_seeds_report(scale: Scale, threads: usize) -> ExpReport {
             Scale::Quick => {
                 let mut tiger = TigerConfig::small_test();
                 tiger.seed = seeds[i];
-                RampConfig {
-                    failed_cub: Some(CubId(2)),
-                    disk_report_cub: Some(CubId(3)),
-                    report_cub: CubId(3),
-                    target: Some(16),
-                    hold_at_peak: SimDuration::from_secs(30),
-                    ..quick_ramp(RampConfig::fig8(tiger, SimDuration::from_secs(15)))
-                }
+                quick_failed_ramp(tiger)
             }
         };
         run_ramp(&cfg)
     });
-    let mut out = String::new();
     let _ = writeln!(
         out,
         "-- measured at full failed-mode load (mirroring cub), per workload seed --"
@@ -1042,10 +1426,14 @@ pub fn capacity_seeds_report(scale: Scale, threads: usize) -> ExpReport {
          schedule admits the same stream count and the mirroring cub's duty \
          cycle stays in the same band across seeds."
     );
+    let _ = writeln!(
+        out,
+        "(paper: mirroring-cub disks >95% duty cycle; >13.4 MB/s sends \
+         at 135 Mbit/s NIC = >79% utilization)"
+    );
     ExpReport {
-        name: "capacity_seeds",
-        output: out,
         metrics: results.iter().map(metrics_of).collect(),
+        ..ExpReport::new(out)
     }
 }
 

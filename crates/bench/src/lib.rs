@@ -1,8 +1,10 @@
 //! Benchmark harness for the Tiger reproduction.
 //!
-//! One binary per paper artifact (see `DESIGN.md` §4 for the index):
+//! Every paper artifact is a job in one registry, [`fleet::JOBS`], run by
+//! the `fleet` binary (see `DESIGN.md` §4 for the index). Each job is
+//! named after its golden in `results/`:
 //!
-//! | target | artifact |
+//! | job | artifact |
 //! |---|---|
 //! | `fig8_unfailed` | Figure 8: loads with no cubs failed |
 //! | `fig9_failed` | Figure 9: loads with one cub failed |
@@ -10,7 +12,9 @@
 //! | `loss_rates` | §5 text: delivered-block loss rates |
 //! | `reconfig` | §5 text: power-cut reconfiguration window |
 //! | `scalability` | §3.3: centralized vs distributed control traffic |
-//! | `capacity` | §5 text: capacity derivation (10.75 streams/disk → 602) |
+//! | `capacity` | §5 text: capacity derivation (10.75 streams/disk → 602), measured per seed |
+//! | `hotspot` | §2.2: striping absorbs single-file demand spikes |
+//! | `hotspot_plan` | §2.2 again, demand from `examples/workloads/zipf-hotspot.plan` |
 //! | `ablation_decluster` | §2.3: decluster-factor tradeoff |
 //! | `ablation_forwarding` | §4.1.1: single vs double forwarding |
 //! | `ablation_lead` | §4.1.1: viewer-state lead sensitivity |
@@ -19,39 +23,20 @@
 //! | `ablation_deadman` | §5: loss window vs deadman timeout |
 //! | `ablation_admission` | §5: the disabled admission-control code, re-enabled |
 //! | `ablation_coded` | coded vs mirrored redundancy under the flash crowd, equal storage (docs/CODED.md) |
-//! | `hotspot` | §2.2: striping absorbs single-file demand spikes |
 //! | `chaos` | fault-injection campaigns (tiger-faults) checked against the Tiger invariants |
 //! | `workloads` | canonical tiger-workgen demand plans: blocking / conflict / churn under skew, surges, VCR churn, diurnal swing |
+//! | `workload_flashcrowd_blocking` | the `workloads` sweep narrowed to the flash-crowd plan and its blocking curve |
 //!
-//! Micro-benches for the schedule operations themselves live in `benches/`
-//! (the §5 premise that schedule management cost is negligible next to
-//! data movement), driven by the in-tree [`runner`] so the workspace needs
-//! no registry crates and emits machine-readable JSON for the
-//! `BENCH_*.json` trajectory.
+//! The other binaries are tools: `trace_timeline` renders trace dumps,
+//! `bench_compare` / `bench_merge` maintain the `BENCH_*.json`
+//! trajectory. Micro-benches for the schedule operations themselves live
+//! in `benches/` (the §5 premise that schedule management cost is
+//! negligible next to data movement), driven by the in-tree [`runner`] so
+//! the workspace needs no registry crates and emits machine-readable JSON.
 
 pub mod chaos;
 pub mod coded;
 pub mod fleet;
+pub mod hotspot;
 pub mod runner;
 pub mod workloads;
-
-use tiger_core::TigerConfig;
-use tiger_sim::SimDuration;
-
-/// The full-scale §5 system configuration used by every figure bench.
-pub fn sosp_tiger() -> TigerConfig {
-    TigerConfig::sosp97()
-}
-
-/// The paper's settle time per ramp step.
-pub fn settle() -> SimDuration {
-    SimDuration::from_secs(50)
-}
-
-/// Prints a standard header naming the artifact being regenerated.
-pub fn header(artifact: &str, paper_says: &str) {
-    println!("==============================================================");
-    println!("{artifact}");
-    println!("paper: {paper_says}");
-    println!("==============================================================");
-}

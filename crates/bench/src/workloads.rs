@@ -13,8 +13,8 @@
 //!
 //! Every point is a pure function of `(plan, seed)`, so the sweep shards
 //! through [`run_indexed`] and its report is bit-identical at any thread
-//! count. Digest lines ending in `violations 0` pass; the `workloads` bin
-//! exits non-zero on any `VIOLATION` line.
+//! count. Digest lines ending in `violations 0` pass; any violation
+//! fails the job, and with it the `fleet` run.
 
 use std::fmt::Write as _;
 
@@ -143,13 +143,13 @@ fn run_point(name: &str, text: &str, seed: u64) -> PointResult {
     }
 }
 
-/// The workload sweep: plan × seed, optionally filtered to plans whose
-/// name contains `filter`.
-pub fn workloads_report(scale: Scale, threads: usize, filter: Option<&str>) -> ExpReport {
+/// The workload sweep: plan × seed, optionally narrowed to the one plan
+/// named `only`.
+pub fn workloads_report(scale: Scale, threads: usize, only: Option<&str>) -> ExpReport {
     let all = plans();
     let plans: Vec<&PlanTemplate> = all
         .iter()
-        .filter(|(name, _)| filter.is_none_or(|f| name.contains(f)))
+        .filter(|(name, _)| only.is_none_or(|o| *name == o))
         .collect();
     let seeds: &[u64] = match scale {
         Scale::Full => &[1997, 42],
@@ -216,9 +216,8 @@ pub fn workloads_report(scale: Scale, threads: usize, filter: Option<&str>) -> E
          violations: {bad}."
     );
     ExpReport {
-        name: "workloads",
-        output: out,
-        metrics: Vec::new(),
+        passed: bad == 0,
+        ..ExpReport::new(out)
     }
 }
 
@@ -249,7 +248,11 @@ mod tests {
         let one = workloads_report(Scale::Quick, 1, None);
         let three = workloads_report(Scale::Quick, 3, None);
         assert_eq!(one.output, three.output);
-        assert!(one.output.contains("violations: 0"), "{}", one.output);
+        assert!(
+            one.passed && one.output.contains("violations: 0"),
+            "{}",
+            one.output
+        );
         assert!(
             one.output.contains("blocking-probability curve"),
             "flash-crowd curve missing:\n{}",
@@ -259,7 +262,7 @@ mod tests {
 
     #[test]
     fn filter_narrows_the_sweep() {
-        let only = workloads_report(Scale::Quick, 1, Some("diurnal"));
+        let only = workloads_report(Scale::Quick, 1, Some("diurnal-endurance"));
         assert!(only.output.contains("diurnal-endurance"));
         assert!(!only.output.contains("vcr-heavy"));
     }

@@ -22,8 +22,8 @@ use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
 use crate::event::{Event, ServiceToken};
-use crate::msg::Message;
 use crate::system::{CodedRuntime, Shared};
+use tiger_proto::msg::Message;
 
 pub use tiger_proto::insert::PendingStart;
 

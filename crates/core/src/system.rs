@@ -26,7 +26,7 @@ use crate::cpu::CpuModel;
 use crate::cub::Cub;
 use crate::event::Event;
 use crate::metrics::{Metrics, WindowSample};
-use crate::msg::Message;
+use tiger_proto::msg::Message;
 use tiger_proto::Membership;
 
 /// State shared by all component handlers: the event queue, the network,

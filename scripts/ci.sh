@@ -30,88 +30,58 @@ fi
 echo "== cargo clippy --workspace -- -D warnings" >&2
 cargo clippy --workspace -- -D warnings
 
-# Fleet smoke: the parallel experiment fleet must produce bit-identical
-# stdout at 1 and 2 worker threads (the determinism-under-parallelism
-# contract; see EXPERIMENTS.md "The experiment fleet").
-echo "== fleet smoke: quick fig8 ramp at 1 vs 2 threads" >&2
-FLEET_T1="$(mktemp)" FLEET_T2="$(mktemp)" FLEET_TRACED="$(mktemp)" DEMO_OUT="$(mktemp)"
-CHAOS_T1="$(mktemp)" CHAOS_T2="$(mktemp)"
-WORK_T1="$(mktemp)" WORK_T2="$(mktemp)" HOTSPOT_PLAN="$(mktemp)"
-CODED_T1="$(mktemp)" CODED_T2="$(mktemp)"
-trap 'rm -f "$FLEET_T1" "$FLEET_T2" "$FLEET_TRACED" "$DEMO_OUT" "$CHAOS_T1" "$CHAOS_T2" "$WORK_T1" "$WORK_T2" "$HOTSPOT_PLAN" "$CODED_T1" "$CODED_T2"' EXIT
-cargo run --release -q -p tiger-bench --bin fleet -- \
-    --scale quick --filter fig8 --threads 1 > "$FLEET_T1" 2>/dev/null
-cargo run --release -q -p tiger-bench --bin fleet -- \
-    --scale quick --filter fig8 --threads 2 > "$FLEET_T2" 2>/dev/null
-cmp "$FLEET_T1" "$FLEET_T2"
+# Determinism sweep: the whole experiment catalogue at quick scale must
+# produce bit-identical stdout at 1, 2, and 3 worker threads (the
+# determinism-under-parallelism contract; see EXPERIMENTS.md "The
+# experiment fleet"). --threads shards both the jobs and each job's inner
+# sweep, so the chaos campaigns (incl. the rejoin, live-restripe/shrink
+# and spare-shield scenarios of docs/RECOVERY.md), the workload plans and
+# the coded ablation are swept at every level. fleet exits non-zero if
+# any job fails its own checks (a chaos or workload invariant violation,
+# a failed ablation check). Fatal — a divergence means randomness leaked
+# out of its RNG subtree.
+echo "== determinism sweep: fleet --scale quick at 1 vs 2 vs 3 threads" >&2
+FLEET=(cargo run --release -q -p tiger-bench --bin fleet --)
+FLEET_T1="$(mktemp)" FLEET_TN="$(mktemp)" GOLDEN="$(mktemp)" DEMO_OUT="$(mktemp)"
+trap 'rm -f "$FLEET_T1" "$FLEET_TN" "$GOLDEN" "$DEMO_OUT"' EXIT
+"${FLEET[@]}" --scale quick --threads 1 > "$FLEET_T1"
+for threads in 2 3; do
+    "${FLEET[@]}" --scale quick --threads "$threads" > "$FLEET_TN"
+    cmp "$FLEET_T1" "$FLEET_TN"
+done
 
-# Chaos smoke: the fault-injection sweep must pass every Tiger invariant
-# (the bin exits non-zero on any violation) and, like the fleet, produce
-# bit-identical stdout at 1, 2, and 3 worker threads (see docs/FAULTS.md).
-# The sweep includes the online-recovery scenarios — crash-rejoin,
-# double-fail-catchup (partner dies mid-handback), restripe-quiet,
-# restripe-rejoin (crash + restart mid-restripe), and the Recovery v2
-# trio: fast-rejoin (sub-interval retired replay), shrink-load (live
-# remove=1 under streaming), and spare-shield (double failure with a
-# spare serving shadow spans) — so this smoke gates the rejoin,
-# live-restripe/shrink, and spare-shield protocols too (see
-# docs/RECOVERY.md). Fatal — a divergence means fault randomness leaked
-# out of its RNG subtree or an invariant broke.
-echo "== chaos smoke: quick sweep (incl. rejoin/shrink/shield) at 1 vs 2 vs 3 threads" >&2
-cargo run --release -q -p tiger-bench --bin chaos -- \
-    --scale quick --threads 1 > "$CHAOS_T1"
-cargo run --release -q -p tiger-bench --bin chaos -- \
-    --scale quick --threads 2 > "$CHAOS_T2"
-cmp "$CHAOS_T1" "$CHAOS_T2"
-cargo run --release -q -p tiger-bench --bin chaos -- \
-    --scale quick --threads 3 > "$CHAOS_T2"
-cmp "$CHAOS_T1" "$CHAOS_T2"
-
-# Workload smoke: the canonical tiger-workgen plan sweep (Zipf hotspot,
-# flash crowd, VCR churn, diurnal swing, flashcrowd+crash under the chaos
-# invariants) must pass — the bin exits non-zero on any violation — and
-# produce bit-identical stdout at 1 and 2 worker threads (see
-# docs/WORKLOADS.md). Fatal — a divergence means workload randomness
-# leaked out of the "workgen" RNG subtree.
-echo "== workload smoke: quick plan sweep at 1 vs 2 threads" >&2
-cargo run --release -q -p tiger-bench --bin workloads -- \
-    --scale quick --threads 1 > "$WORK_T1"
-cargo run --release -q -p tiger-bench --bin workloads -- \
-    --scale quick --threads 2 > "$WORK_T2"
-cmp "$WORK_T1" "$WORK_T2"
-
-# Redundancy-ablation smoke: coded vs mirrored on the flash-crowd plans
-# must pass its own checks (coded blocking <= mirrored at equal storage;
-# chaos invariants 1-6 on both backends — the bin exits non-zero on any
-# failure), be bit-identical at 1 and 2 worker threads, and match the
-# checked-in curve golden exactly. Fatal — a golden drift means the coded
-# service path (fan-out, degraded reads, load-index choice) changed
-# behaviour (see docs/CODED.md).
-echo "== coded smoke: ablation_coded at 1 vs 2 threads + golden" >&2
-cargo run --release -q -p tiger-bench --bin ablation_coded -- \
-    --scale quick --threads 1 > "$CODED_T1"
-cargo run --release -q -p tiger-bench --bin ablation_coded -- \
-    --scale quick --threads 2 > "$CODED_T2"
-cmp "$CODED_T1" "$CODED_T2"
-cmp results/ablation_coded_quick.txt "$CODED_T1"
-
-# Golden plan-driven hotspot: the hotspot bench driven by the checked-in
-# example plan must render exactly the checked-in table. Fatal — it pins
-# the plan grammar, the compiled-generator draw order, and the demand →
-# schedule coupling on a fixed seed all at once.
-echo "== workload smoke: hotspot --plan vs results/hotspot_plan.txt" >&2
-cargo run --release -q -p tiger-bench --bin hotspot -- \
-    --plan examples/workloads/zipf-hotspot.plan --scale quick > "$HOTSPOT_PLAN"
-cmp results/hotspot_plan.txt "$HOTSPOT_PLAN"
-
-# Traced smoke: the tracer is a pure observer, so the same fleet run with
-# tracing switched on must produce bit-identical stdout (see
+# Traced smoke: the tracer is a pure observer, so the same catalogue run
+# with tracing switched on must produce bit-identical stdout (see
 # docs/TRACING.md). Fatal — any divergence means a trace hook leaked into
 # simulation behaviour.
 echo "== traced smoke: fleet stdout with TIGER_TRACE=1 vs off" >&2
-TIGER_TRACE=1 cargo run --release -q -p tiger-bench --bin fleet -- \
-    --scale quick --filter fig8 --threads 1 > "$FLEET_TRACED" 2>/dev/null
-cmp "$FLEET_T1" "$FLEET_TRACED"
+TIGER_TRACE=1 "${FLEET[@]}" --scale quick --threads 1 > "$FLEET_TN"
+cmp "$FLEET_T1" "$FLEET_TN"
+
+# Experiment goldens: results/<job>.txt is the job's full-scale output and
+# results/<job>_quick.txt its quick one. The quick pair pins the coded
+# service path (fan-out, degraded reads, load-index choice; docs/CODED.md)
+# and the plan grammar + demand -> schedule coupling (docs/WORKLOADS.md);
+# the full-scale set covers every job fast enough for CI, so a golden can
+# no longer rot unnoticed. Fatal.
+# golden SCALE SUFFIX JOB... — cmp the fleet run against the goldens, in
+# catalogue order.
+golden() {
+    local scale="$1" suffix="$2"
+    shift 2
+    local jobs
+    jobs="$(IFS=,; echo "$*")"
+    echo "== goldens: fleet --filter $jobs --scale $scale" >&2
+    "${FLEET[@]}" --filter "$jobs" --scale "$scale" > "$FLEET_TN"
+    for job in $("${FLEET[@]}" --filter "$jobs" --list); do
+        cat "results/$job$suffix.txt"
+    done > "$GOLDEN"
+    cmp "$GOLDEN" "$FLEET_TN"
+}
+golden quick _quick ablation_coded hotspot_plan
+golden full "" reconfig hotspot ablation_decluster ablation_forwarding \
+    ablation_lead ablation_fragmentation ablation_mbr ablation_deadman \
+    workloads workload_flashcrowd_blocking
 
 # Golden timeline: the deterministic demo scenario must render exactly the
 # checked-in timeline. Fatal — it pins the event schema, the wire format,

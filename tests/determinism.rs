@@ -76,27 +76,18 @@ fn identical_seeds_give_identical_runs() {
 /// completion order.
 #[test]
 fn fleet_output_is_identical_at_any_thread_count() {
-    use tiger::bench::fleet::{metrics_digest, run_fleet, standard_jobs, Scale};
+    use tiger::bench::fleet::{metrics_digest, run_fleet, select, Scale};
 
-    // A cross-section of the catalogue: two full-system ramps (fig8 and
-    // the multi-seed capacity sweep, which carry merged Metrics), one
-    // data-structure churn sweep, and one analytic sweep. Quick scale
-    // keeps the three runs to seconds.
-    let pick = [
-        "fig8",
-        "capacity_seeds",
-        "ablation_fragmentation",
-        "ablation_decluster",
-    ];
+    // A cross-section of the catalogue: two full-system ramps (Figure 8
+    // and the multi-seed capacity sweep, which carry merged Metrics), one
+    // data-structure churn sweep, one analytic sweep, and the chaos sweep,
+    // whose campaigns shard across the same threads inside the job. Quick
+    // scale keeps the three runs to seconds.
+    let jobs = select("fig8_unfailed,capacity,ablation_fragmentation,ablation_decluster,chaos")
+        .expect("every picked job is in the catalogue");
     let runs: Vec<_> = [1usize, 2, 3]
         .into_iter()
-        .map(|threads| {
-            let jobs: Vec<_> = standard_jobs()
-                .into_iter()
-                .filter(|j| pick.contains(&j.name))
-                .collect();
-            run_fleet(&jobs, Scale::Quick, threads)
-        })
+        .map(|threads| run_fleet(&jobs, Scale::Quick, threads))
         .collect();
 
     let [one, two, three] = runs.try_into().ok().expect("three runs");
@@ -108,25 +99,67 @@ fn fleet_output_is_identical_at_any_thread_count() {
         one.merged, three.merged,
         "merged Metrics diverged at 3 threads"
     );
-    for (a, b) in one.reports.iter().zip(&two.reports) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(
-            a.output, b.output,
-            "report '{}' diverged at 2 threads",
-            a.name
-        );
-    }
-    for (a, b) in one.reports.iter().zip(&three.reports) {
-        assert_eq!(
-            a.output, b.output,
-            "report '{}' diverged at 3 threads",
-            a.name
-        );
+    for (other, threads) in [(&two, 2), (&three, 3)] {
+        for ((job, a), b) in jobs.iter().zip(&one.reports).zip(&other.reports) {
+            assert_eq!(
+                a.output, b.output,
+                "report '{}' diverged at {threads} threads",
+                job.name
+            );
+            assert_eq!(a.passed, b.passed);
+        }
     }
     // The runs must have measured something for equality to mean anything.
+    assert!(one.reports.iter().all(|r| r.passed), "a picked job failed");
     assert!(!one.merged.windows.is_empty(), "fleet sampled no windows");
     assert!(one.merged.loss.blocks_sent > 0, "fleet sent no blocks");
     assert_eq!(metrics_digest(&one.merged), metrics_digest(&three.merged));
+}
+
+/// One registry: job names are unique, can be listed in `--filter`, and
+/// every experiment golden in `results/` belongs to a job —
+/// `<job>.txt` is its full-scale output, `<job>_quick.txt` its quick one.
+#[test]
+fn every_golden_belongs_to_a_registry_job() {
+    use tiger::bench::fleet::JOBS;
+    // Rendered by the `trace_timeline` tool, not by a fleet job.
+    const TIMELINES: [&str; 3] = [
+        "trace_timeline_demo",
+        "trace_rejoin_timeline",
+        "trace_shrink_timeline",
+    ];
+
+    for (i, job) in JOBS.iter().enumerate() {
+        assert!(
+            !job.name.contains(','),
+            "job name '{}' has a comma",
+            job.name
+        );
+        assert!(
+            JOBS[..i].iter().all(|j| j.name != job.name),
+            "job name '{}' is registered twice",
+            job.name
+        );
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut goldens = 0;
+    for entry in std::fs::read_dir(&dir).expect("results/ exists") {
+        let name = entry.expect("readable entry").file_name();
+        let name = name.to_str().expect("utf-8 file name");
+        let Some(stem) = name.strip_suffix(".txt") else {
+            continue;
+        };
+        if TIMELINES.contains(&stem) {
+            continue;
+        }
+        let job = stem.strip_suffix("_quick").unwrap_or(stem);
+        assert!(
+            JOBS.iter().any(|j| j.name == job),
+            "results/{name} has no registry job named '{job}'"
+        );
+        goldens += 1;
+    }
+    assert!(goldens > 0, "no goldens found in {}", dir.display());
 }
 
 #[test]
