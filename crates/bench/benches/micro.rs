@@ -114,6 +114,52 @@ fn bench_view_ops(c: &mut Runner) {
     });
 }
 
+/// A 14-cub sosp97 ring warmed to a steady 80% load, and the
+/// `ViewerStates` batch built from cub 0's view for its successor.
+fn warmed_ring() -> (tiger_core::TigerSystem, std::sync::Arc<[ViewerState]>) {
+    use tiger_core::{TigerConfig, TigerSystem};
+    let mut sys = TigerSystem::new(TigerConfig::sosp97());
+    let files: Vec<_> = (0..16)
+        .map(|_| sys.add_file(Bandwidth::from_mbit_per_sec(2), SimDuration::from_secs(600)))
+        .collect();
+    let streams = u64::from(sys.shared().params.capacity()) * 4 / 5;
+    let mut rng = tiger_sim::RngTree::new(1).fork("micro-warmed-ring", 0);
+    // Starts over 10 s at mid-file blocks, so first reads spread over
+    // every disk.
+    let step = 10_000_000_000 / streams;
+    for i in 0..streams {
+        let client = sys.add_client();
+        let file = files[rng.gen_range(0..files.len())];
+        let at = SimTime::from_millis(100) + SimDuration::from_nanos(i * step);
+        sys.request_start_at(at, client, file, rng.gen_range(0u32..400));
+    }
+    sys.run_until(SimTime::from_secs(30));
+    let batch = sys.cubs()[0].view().iter().map(|(_, vs)| *vs).collect();
+    (sys, batch)
+}
+
+fn bench_cub(c: &mut Runner) {
+    use tiger_core::Message;
+    use tiger_layout::CubId;
+    // The viewer-state receive path in place: `Cub::on_message` on a
+    // warmed cub, fed the batch built from its ring predecessor's view —
+    // the same construction as the end-to-end benchmark's
+    // `cub.vs_batch_ns_per_record` probe. One iteration is one batch
+    // (a few hundred records; divide by the batch length for per-record
+    // cost). Most records shadow (they belong to the predecessor's disks),
+    // so every iteration re-runs the §4.1.2 idempotence checks against
+    // the cub's full active table and retired log.
+    let mut warmed = None;
+    c.bench_function("cub/vs_batch", |b| {
+        let (sys, batch) = warmed.get_or_insert_with(warmed_ring);
+        let now = sys.now();
+        b.iter(|| {
+            let msg = Message::ViewerStates(batch.clone());
+            sys.with_cub_mut(CubId(1), |cub, sh| cub.on_message(sh, now, black_box(msg)))
+        })
+    });
+}
+
 fn bench_rejoin(c: &mut Runner) {
     // A rejoined cub restarts with an empty schedule view and re-learns
     // its slots from the hand-back batch its ring neighbors and covering
@@ -356,6 +402,24 @@ fn bench_event_queue(c: &mut Runner) {
             // Follow-up lands before the rest of the backlog.
             q.schedule(now + SimDuration::from_nanos(1), e);
             black_box(e)
+        })
+    });
+    // Churn at steady-224's measured pending population (the benchmark's
+    // `sim.queue_len_peak`) with 64-byte payloads, the size of a
+    // simulation event: pop the head, schedule it again up to 10 s out.
+    c.bench_function("event_queue/churn_134k", |b| {
+        const PENDING: u64 = 134_077;
+        const SPREAD_NS: u64 = 10_000_000_000;
+        let mut q = EventQueue::with_capacity(PENDING as usize);
+        for i in 0..PENDING {
+            q.schedule(SimTime::from_nanos(i * (SPREAD_NS / PENDING)), [i; 8]);
+        }
+        b.iter(|| {
+            let (_, mut e) = q.pop().expect("queue never drains");
+            // A cheap deterministic spread of re-schedule delays.
+            e[1] = e[1].wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            q.schedule_in(SimDuration::from_nanos(e[1] % SPREAD_NS), e);
+            black_box(e[0])
         })
     });
     // Cold fill: how much does building up a fresh queue cost, including
@@ -626,6 +690,7 @@ fn main() {
     let mut c = Runner::from_args();
     bench_slot_math(&mut c);
     bench_view_ops(&mut c);
+    bench_cub(&mut c);
     bench_rejoin(&mut c);
     bench_layout(&mut c);
     bench_net_schedule(&mut c);

@@ -22,6 +22,7 @@ use tiger_trace::TraceEvent;
 
 use crate::config::ForwardingPolicy;
 use crate::event::{Event, ServiceToken};
+use crate::receipts::{ReceiptIndex, ServiceKey};
 use crate::system::{CodedRuntime, Shared};
 use tiger_proto::msg::Message;
 
@@ -33,33 +34,6 @@ fn ring_cfg(sh: &Shared) -> RingConfig {
         deadman_timeout: sh.cfg.deadman_timeout,
         deadman_interval: sh.cfg.deadman_interval,
         min_vstate_lead: sh.cfg.min_vstate_lead,
-    }
-}
-
-/// Key identifying one active service on this cub.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ServiceKey {
-    slot: SlotId,
-    instance: ViewerInstance,
-    kind: KindKey,
-    /// Distinguishes successive laps of the same slot: on small rings a
-    /// slot's next-lap record can arrive while the previous block is still
-    /// being transmitted.
-    play_seq: u32,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum KindKey {
-    Primary,
-    Mirror(u32),
-    Coded(u32),
-}
-
-fn kind_key(k: StreamKind) -> KindKey {
-    match k {
-        StreamKind::Primary => KindKey::Primary,
-        StreamKind::Mirror { piece, .. } => KindKey::Mirror(piece),
-        StreamKind::Coded { shard, .. } => KindKey::Coded(shard),
     }
 }
 
@@ -160,7 +134,9 @@ pub struct Cub {
     index: BlockIndex,
     view: ScheduleView,
     active: HashMap<ServiceToken, Active>,
-    by_key: HashMap<ServiceKey, ServiceToken>,
+    /// Per-instance summary of `active` and `retired_log` answering the
+    /// §4.1.2 idempotence questions in one lookup (`crate::receipts`).
+    receipts: ReceiptIndex,
     next_token: ServiceToken,
     shadows: HashMap<(SlotId, ViewerInstance), Shadow>,
     /// Blocks for which this cub (as acting successor) already created
@@ -221,7 +197,7 @@ impl Cub {
             index: BlockIndex::new(),
             view: ScheduleView::new(),
             active: HashMap::default(),
-            by_key: HashMap::default(),
+            receipts: ReceiptIndex::default(),
             next_token: 0,
             shadows: HashMap::default(),
             mirrors_created: HashSet::default(),
@@ -707,13 +683,8 @@ impl Cub {
                 return;
             }
         }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Primary,
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
+        let key = ServiceKey::of(&vs);
+        if self.has_service(&key) {
             // Already servicing this entry (double-forward duplicate).
             sh.tracer.record(
                 now,
@@ -799,7 +770,7 @@ impl Cub {
                 false,
             ),
         );
-        self.by_key.insert(key, token);
+        self.receipts.insert_active(key);
         // §3.1: "the disks run at least one block service time ahead of the
         // schedule. Usually, they run a little earlier, trading off buffer
         // usage to cover for slight variations in disk … performance."
@@ -935,13 +906,8 @@ impl Cub {
             ViewApply::Inserted | ViewApply::Updated => {}
             _ => return,
         }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Mirror(piece),
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
+        let key = ServiceKey::of(&vs);
+        if self.has_service(&key) {
             return;
         }
         // Piece i goes out i/decluster of a block play time after the
@@ -1018,7 +984,7 @@ impl Cub {
                 true, // Mirror records forward immediately (below), not in the periodic pass.
             ),
         );
-        self.by_key.insert(key, token);
+        self.receipts.insert_active(key);
         // Mirror reads land on disks already running near saturation; issue
         // them extra-early ("the cubs take these timing differences into
         // consideration", §4.1.1) to ride out queueing convoys.
@@ -1149,13 +1115,8 @@ impl Cub {
             ViewApply::Inserted | ViewApply::Updated => {}
             _ => return,
         }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Mirror(piece),
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
+        let key = ServiceKey::of(&vs);
+        if self.has_service(&key) {
             return;
         }
         let block_due = sh.params.slot_send_time(failed_disk, vs.slot, now);
@@ -1212,7 +1173,7 @@ impl Cub {
                 true, // Shield records never enter the forward pass.
             ),
         );
-        self.by_key.insert(key, token);
+        self.receipts.insert_active(key);
         let read_at = send_at
             .saturating_sub(sh.cfg.scheduling_lead.mul_u64(3))
             .max(now);
@@ -1412,13 +1373,8 @@ impl Cub {
             ViewApply::Inserted | ViewApply::Updated => {}
             _ => return,
         }
-        let key = ServiceKey {
-            slot: vs.slot,
-            instance: vs.instance,
-            kind: KindKey::Coded(shard),
-            play_seq: vs.play_seq,
-        };
-        if self.by_key.contains_key(&key) {
+        let key = ServiceKey::of(&vs);
+        if self.has_service(&key) {
             return;
         }
         let block_due = sh.params.slot_send_time(home_disk, vs.slot, now);
@@ -1496,7 +1452,7 @@ impl Cub {
                 true, // Coded records never forward: the fan-out is complete.
             ),
         );
-        self.by_key.insert(key, token);
+        self.receipts.insert_active(key);
         // Like mirror reads: issue extra-early to ride out queueing
         // convoys on disks already running near saturation.
         let read_at = send_at
@@ -1856,22 +1812,21 @@ impl Cub {
             if e.buffer_held {
                 self.buffer_bytes_in_use = self.buffer_bytes_in_use.saturating_sub(e.read_bytes);
             }
-            let key = ServiceKey {
-                slot: e.vs.slot,
-                instance: e.vs.instance,
-                kind: kind_key(e.vs.kind),
-                play_seq: e.vs.play_seq,
-            };
-            self.by_key.remove(&key);
             if e.vs.kind == StreamKind::Primary {
                 if let Some(c) = coded {
                     let home = c.placement.config().disk_of(self.id, e.disk_local);
                     c.release(home, coded_load_key(&e.vs));
                 }
             }
-            if !e.dropped && e.vs.kind == StreamKind::Primary {
+            let retired = !e.dropped && e.vs.kind == StreamKind::Primary;
+            if retired {
                 self.retired_log.push((now, e.vs));
             }
+            let (active, log) = (&self.active, &self.retired_log);
+            self.receipts
+                .remove_active(&ServiceKey::of(&e.vs), retired, || {
+                    max_served_seq(active, log, &e.vs.instance)
+                });
         }
     }
 
@@ -1974,11 +1929,17 @@ impl Cub {
         let horizon = now.saturating_sub(sh.cfg.deschedule_hold);
         self.shadows.retain(|_, s| s.due >= horizon);
         // Retired-log GC: keep one failure-detection window.
-        crate::recovery::prune_retired(
+        let pruned = crate::recovery::prune_retired(
             &mut self.retired_log,
             now,
             crate::recovery::retired_retention(&sh.cfg),
         );
+        for (_, vs) in pruned {
+            let (active, log) = (&self.active, &self.retired_log);
+            self.receipts.remove_retired(&vs.instance, vs.play_seq, || {
+                max_served_seq(active, log, &vs.instance)
+            });
+        }
         // Mirror-creation memory GC is keyed the same way; bound its size.
         if self.mirrors_created.len() > 100_000 {
             self.mirrors_created.clear();
@@ -2088,31 +2049,44 @@ impl Cub {
     /// after the original start was inserted must not insert the viewer
     /// into a second slot (every block would be delivered twice).
     fn carries_instance(&self, instance: &ViewerInstance) -> bool {
-        self.view.iter().any(|(_, e)| e.instance == *instance)
-            || self.active.values().any(|a| a.vs.instance == *instance)
-            || self
-                .retired_log
-                .iter()
-                .any(|(_, vs)| vs.instance == *instance)
+        let indexed = self.receipts.carries(instance);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            indexed,
+            self.carries_instance_scan(instance),
+            "{}: receipt index disagrees on carrying {instance}",
+            self.id
+        );
+        indexed || self.view.iter().any(|(_, e)| e.instance == *instance)
     }
 
     /// Whether this cub has already serviced `vs.play_seq` (or a later
     /// block) of the instance — the staleness test behind the §4.1.2
     /// receipt idempotence in `on_primary_state`.
     pub(crate) fn already_served(&self, vs: &ViewerState) -> bool {
-        // Coded shard actives carry the *home* block's play_seq and say
-        // nothing about this cub's own primary progression — counting one
-        // here would reject the double-forwarded redundancy copy of the
-        // very record the shard serves, exactly when the home just died
-        // and that copy is the stream's only survivor.
-        self.active.values().any(|a| {
-            !matches!(a.vs.kind, StreamKind::Coded { .. })
-                && a.vs.instance == vs.instance
-                && a.vs.play_seq >= vs.play_seq
-        }) || self
-            .retired_log
-            .iter()
-            .any(|(_, r)| r.instance == vs.instance && r.play_seq >= vs.play_seq)
+        let indexed = self.receipts.already_served(&vs.instance, vs.play_seq);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            indexed,
+            self.already_served_scan(vs),
+            "{}: receipt index disagrees on {vs:?}",
+            self.id
+        );
+        indexed
+    }
+
+    /// Whether an active service with exactly `key` exists (a double-
+    /// forwarded duplicate of a record already being serviced).
+    fn has_service(&self, key: &ServiceKey) -> bool {
+        let indexed = self.receipts.contains_key(key);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            indexed,
+            self.active.values().any(|a| ServiceKey::of(&a.vs) == *key),
+            "{}: receipt index disagrees on {key:?}",
+            self.id
+        );
+        indexed
     }
 
     fn schedule_insert_attempt(&mut self, sh: &mut Shared, at: SimTime) {
@@ -2517,6 +2491,10 @@ impl Cub {
         self.shadows.clear();
         self.ins.clear_queues();
         self.retired_log.clear();
+        // Whatever survives the reset is still in `active` (empty after a
+        // power-cut or restart; in-flight transmissions at cut-over).
+        self.receipts
+            .rebuild(self.active.values().map(|a| ServiceKey::of(&a.vs)));
     }
 
     /// Power-cut: the cub stops doing anything; its disks die with it.
@@ -2526,7 +2504,6 @@ impl Cub {
             d.fail(now);
         }
         self.active.clear();
-        self.by_key.clear();
         self.reset_viewer_state();
         self.buffer_bytes_in_use = 0;
     }
@@ -2545,7 +2522,6 @@ impl Cub {
             d.revive(now);
         }
         self.active.clear();
-        self.by_key.clear();
         self.reset_viewer_state();
         self.mirrors_created.clear();
         self.cache_resident.clear();
@@ -2626,6 +2602,48 @@ impl Cub {
         self.mirrors_created.clear();
         self.eof_sent.clear();
         self.ring.clear_handback();
+    }
+}
+
+/// The highest play sequence over `instance`'s served entries: non-coded
+/// actives plus retired-log records. The receipt index summarises exactly
+/// this; it falls back to the scan when an instance's maximum leaves.
+fn max_served_seq(
+    active: &HashMap<ServiceToken, Active>,
+    retired_log: &[(SimTime, ViewerState)],
+    instance: &ViewerInstance,
+) -> Option<u32> {
+    // Coded shard actives carry the *home* block's play_seq and say
+    // nothing about this cub's own primary progression — counting one
+    // here would reject the double-forwarded redundancy copy of the very
+    // record the shard serves, exactly when the home just died and that
+    // copy is the stream's only survivor.
+    let served = active
+        .values()
+        .map(|a| &a.vs)
+        .filter(|vs| !matches!(vs.kind, StreamKind::Coded { .. }));
+    served
+        .chain(retired_log.iter().map(|(_, vs)| vs))
+        .filter(|vs| vs.instance == *instance)
+        .map(|vs| vs.play_seq)
+        .max()
+}
+
+/// The pre-index scans, kept as the exactness oracle: debug builds check
+/// every index answer against them.
+#[cfg(any(test, debug_assertions))]
+impl Cub {
+    fn already_served_scan(&self, vs: &ViewerState) -> bool {
+        max_served_seq(&self.active, &self.retired_log, &vs.instance)
+            .is_some_and(|m| m >= vs.play_seq)
+    }
+
+    fn carries_instance_scan(&self, instance: &ViewerInstance) -> bool {
+        self.active.values().any(|a| a.vs.instance == *instance)
+            || self
+                .retired_log
+                .iter()
+                .any(|(_, vs)| vs.instance == *instance)
     }
 }
 

@@ -41,6 +41,7 @@ pub mod event;
 pub mod mbr;
 pub mod mbr_dist;
 pub mod metrics;
+mod receipts;
 pub mod recovery;
 pub mod restripe;
 pub mod shield;

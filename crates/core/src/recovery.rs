@@ -26,11 +26,22 @@ pub fn retired_retention(cfg: &TigerConfig) -> SimDuration {
     cfg.deadman_timeout + cfg.deadman_interval.mul_u64(2) + cfg.deschedule_hold
 }
 
-/// Drops retired-log entries older than `retention` before `now`. Service
-/// order (ascending time) is preserved; [`replay_batch`] depends on it.
-pub fn prune_retired(log: &mut Vec<(SimTime, ViewerState)>, now: SimTime, retention: SimDuration) {
+/// Drops retired-log entries older than `retention` before `now` and
+/// returns them. The log is in service order (ascending time), so they
+/// are a prefix; the order is preserved, and [`replay_batch`] depends on
+/// it.
+pub fn prune_retired(
+    log: &mut Vec<(SimTime, ViewerState)>,
+    now: SimTime,
+    retention: SimDuration,
+) -> Vec<(SimTime, ViewerState)> {
+    debug_assert!(
+        log.is_sorted_by_key(|&(at, _)| at),
+        "retired log out of order"
+    );
     let horizon = now.saturating_sub(retention);
-    log.retain(|&(at, _)| at >= horizon);
+    let cut = log.partition_point(|&(at, _)| at < horizon);
+    log.drain(..cut).collect()
 }
 
 /// Builds the batch a ring predecessor replays to a rejoining cub.

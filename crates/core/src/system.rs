@@ -381,10 +381,20 @@ impl TigerSystem {
         let num_cubs = total_cubs;
         let cfg_striped = cfg.stripe.num_cubs;
         // Pre-size the event queue for a full-load steady state so long
-        // ramps never regrow the heap mid-run: each active stream keeps a
-        // handful of events in flight (read issue/done, send due/done,
-        // delivery), plus per-node periodic work and driver-queued starts.
-        let queue_hint = params.capacity() as usize * 8 + nodes as usize * 4 + 128;
+        // runs never regrow it mid-run. A cub accepts a record up to
+        // maxVStateLead before its send and at once schedules the block's
+        // read issue and send due, so each stream keeps about two timers
+        // pending per block play time of lead: measured 11.8, 17.7 and
+        // 27.6 pending events per stream at leads of 6, 9 and 14 s (full
+        // 14-cub sosp97 ring, bpt 1 s). Two more per stream cover sends
+        // and deliveries in flight; per-node periodic work and
+        // driver-queued starts come on top.
+        let lead_blocks = cfg
+            .max_vstate_lead
+            .as_nanos()
+            .div_ceil(cfg.block_play_time.as_nanos()) as usize;
+        let queue_hint =
+            params.capacity() as usize * (2 * lead_blocks + 2) + nodes as usize * 4 + 128;
         let mut sys = TigerSystem {
             shared: Shared {
                 cfg,

@@ -122,3 +122,51 @@ fn chaos_runs_stay_coherent_across_seeds() {
         }
     }
 }
+
+/// The event queue is pre-sized for a full-load steady state: neither
+/// the ramp that fills every slot nor the steady state after it regrows
+/// the queue (a regrow copies every pending event mid-run).
+#[test]
+fn full_load_ring_keeps_its_queue_capacity() {
+    let mut sys = TigerSystem::new(TigerConfig::sosp97());
+    let files: Vec<_> = (0..16)
+        .map(|_| sys.add_file(rate(), SimDuration::from_secs(600)))
+        .collect();
+    let capacity = sys.shared().params.capacity();
+    let mut rng = RngTree::new(1).fork("queue-capacity", 0);
+    // Every slot, started over a 20 s ramp at mid-file blocks so the
+    // first reads spread over every disk.
+    let step = 20_000_000_000 / u64::from(capacity);
+    for i in 0..u64::from(capacity) {
+        let client = sys.add_client();
+        let file = files[rng.gen_range(0..files.len())];
+        let at = SimTime::from_millis(100) + SimDuration::from_nanos(i * step);
+        sys.request_start_at(at, client, file, rng.gen_range(0u32..400));
+    }
+    let presized = sys.shared().queue.capacity();
+    let warm_up = SimTime::from_secs(30);
+    let mut peak = 0;
+    let mut t = SimTime::ZERO;
+    while t < SimTime::from_secs(50) {
+        t += SimDuration::from_millis(100);
+        sys.run_until(t);
+        if t == warm_up {
+            let streams = sys.controller().active_streams();
+            assert!(
+                streams >= capacity * 95 / 100,
+                "ramp filled {streams} of {capacity} slots"
+            );
+        }
+        peak = peak.max(sys.shared().queue.len());
+        assert_eq!(
+            sys.shared().queue.capacity(),
+            presized,
+            "queue regrew at {t}"
+        );
+    }
+    // The hint is not wildly oversized either.
+    assert!(
+        peak * 2 > presized,
+        "peak {peak} pending against capacity {presized}"
+    );
+}

@@ -79,7 +79,7 @@ golden() {
     cmp "$GOLDEN" "$FLEET_TN"
 }
 golden quick _quick ablation_coded hotspot_plan
-golden full "" reconfig hotspot ablation_decluster ablation_forwarding \
+golden full "" fig8_unfailed reconfig hotspot ablation_decluster ablation_forwarding \
     ablation_lead ablation_fragmentation ablation_mbr ablation_deadman \
     workloads workload_flashcrowd_blocking
 
